@@ -230,7 +230,7 @@ func benchRankTop(b *testing.B, total, n int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.RankTop(n, pi, ci, om, 1)
+		core.RankTop(nil, n, pi, ci, om, 1)
 	}
 }
 
@@ -257,7 +257,7 @@ func benchSelectTopN(b *testing.B, total, n int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.SelectTopN(total, n, less)
+		core.SelectTopN(nil, total, n, less)
 	}
 }
 
@@ -382,12 +382,10 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	}
 }
 
-// benchSimulationShards runs the full paper-scale population (200/400 —
-// the Pq loops the shards split are 400 wide) at one shard count; the
-// sweep across counts is the speedup curve EXPERIMENTS.md §8 records.
-// Results are byte-identical at every count (TestShardedDeterminism), so
-// this measures pure wall-clock.
-func benchSimulationShards(b *testing.B, shards int) {
+// BenchmarkSimulation runs the full paper-scale population (200/400, so
+// every query scores all 400 providers) at workload 0.8: the end-to-end
+// per-query simulation cost EXPERIMENTS.md §8 records.
+func BenchmarkSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := sim.Options{
 			Config:   model.DefaultConfig(),
@@ -395,7 +393,6 @@ func benchSimulationShards(b *testing.B, shards int) {
 			Workload: workload.Constant(0.8),
 			Duration: 150,
 			Seed:     7,
-			Shards:   shards,
 		}
 		eng, err := sim.New(opts)
 		if err != nil {
@@ -408,14 +405,6 @@ func benchSimulationShards(b *testing.B, shards int) {
 		b.ReportMetric(float64(res.IssuedQueries), "queries/run")
 	}
 }
-
-func BenchmarkSimulationShards1(b *testing.B) { benchSimulationShards(b, 1) }
-
-func BenchmarkSimulationShards2(b *testing.B) { benchSimulationShards(b, 2) }
-
-func BenchmarkSimulationShards4(b *testing.B) { benchSimulationShards(b, 4) }
-
-func BenchmarkSimulationShards8(b *testing.B) { benchSimulationShards(b, 8) }
 
 // --- mediation service: batched vs per-query mediation ---
 

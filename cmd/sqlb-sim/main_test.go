@@ -102,31 +102,3 @@ func TestSingleRunKeepsPlainCSVPath(t *testing.T) {
 		t.Error("single run wrote tl.rep0.csv; want the plain path only")
 	}
 }
-
-// TestShardsFlagDeterminism: the -shards flag changes nothing observable —
-// the full stdout report and the exported timeline are byte-identical to
-// the serial run.
-func TestShardsFlagDeterminism(t *testing.T) {
-	outputs := map[string]string{}
-	files := map[string]string{}
-	for _, shards := range []string{"1", "4"} {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "tl.csv")
-		out := runSim(t, "-shards", shards, "-timeline", path,
-			"-duration", "300", "-scale", "0.05", "-autonomy", "full",
-			"-scenario", "staged-churn")
-		outputs[shards] = strings.ReplaceAll(out, dir, "")
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("shards=%s timeline: %v", shards, err)
-		}
-		files[shards] = string(b)
-	}
-	if outputs["1"] != outputs["4"] {
-		t.Errorf("-shards 4 stdout differs from -shards 1:\n%s\nvs\n%s",
-			outputs["4"], outputs["1"])
-	}
-	if files["1"] != files["4"] {
-		t.Error("-shards 4 timeline CSV differs from -shards 1")
-	}
-}

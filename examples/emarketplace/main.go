@@ -75,7 +75,7 @@ func main() {
 		omegas[i] = core.Omega(0.5, 0.5)
 	}
 	ranking := core.Rank(pi, ci, omegas, 1)
-	selected := core.Select(q.N, ranking)
+	selected := core.Select(nil, q.N, ranking)
 
 	fmt.Println("provider  prov.int  cons.int    score  rank")
 	rankOf := map[int]int{}

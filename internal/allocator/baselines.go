@@ -20,13 +20,14 @@ func (*CapacityBased) Name() string { return "Capacity based" }
 
 // Allocate implements Allocator.
 func (*CapacityBased) Allocate(req *Request) []int {
-	utils := req.Scratch.F1(len(req.Pq))
+	// Keys are negated utilizations: the least utilized ranks first.
+	idle := req.Scratch.F1(len(req.Pq))
 	for i, p := range req.Pq {
-		utils[i] = p.Utilization(req.Now)
+		idle[i] = core.SortKey(-p.Utilization(req.Now))
 	}
-	return core.SelectTopNScratch(req.Scratch, len(req.Pq), req.N(), func(a, b int) bool {
-		if utils[a] != utils[b] {
-			return utils[a] < utils[b]
+	return core.SelectTopN(req.Scratch, len(req.Pq), req.N(), func(a, b int) bool {
+		if idle[a] != idle[b] {
+			return idle[a] > idle[b]
 		}
 		if req.Pq[a].Capacity != req.Pq[b].Capacity {
 			return req.Pq[a].Capacity > req.Pq[b].Capacity
@@ -84,7 +85,8 @@ func (m *MariposaLike) Allocate(req *Request) []int {
 	if horizon <= 0 {
 		horizon = 60
 	}
-	bids := req.Scratch.F1(len(req.Pq))
+	// Keys are negated adjusted bids: the cheapest ranks first.
+	cheap := req.Scratch.F1(len(req.Pq))
 	for i, p := range req.Pq {
 		pref := p.Preference(req.Query.Class)
 		load := p.Utilization(req.Now)
@@ -94,11 +96,11 @@ func (m *MariposaLike) Allocate(req *Request) []int {
 		if load < minLoad {
 			load = minLoad
 		}
-		bids[i] = m.Bid(pref) * load
+		cheap[i] = core.SortKey(-(m.Bid(pref) * load))
 	}
-	return core.SelectTopNScratch(req.Scratch, len(req.Pq), req.N(), func(a, b int) bool {
-		if bids[a] != bids[b] {
-			return bids[a] < bids[b]
+	return core.SelectTopN(req.Scratch, len(req.Pq), req.N(), func(a, b int) bool {
+		if cheap[a] != cheap[b] {
+			return cheap[a] > cheap[b]
 		}
 		return a < b
 	})

@@ -41,16 +41,17 @@ func (k *KnBest) Allocate(req *Request) []int {
 	// Only the k·n score survivors are materialized; the load round then
 	// picks the n least loaded among them.
 	kn := n * factor
-	short := core.RankTopScratch(req.Scratch, kn, req.PI, req.CI, omegas, k.Epsilon)
-	loads := req.Scratch.F3(len(short))
+	short := core.RankTop(req.Scratch, kn, req.PI, req.CI, omegas, k.Epsilon)
+	// Keys are negated loads: the least loaded ranks first.
+	light := req.Scratch.F3(len(short))
 	for i, r := range short {
-		loads[i] = req.Pq[r.Index].OperationalLoad(req.Now)
+		light[i] = core.SortKey(-req.Pq[r.Index].OperationalLoad(req.Now))
 	}
-	// RankTopScratch is done with I1 by the time it returns, so the load
-	// round may reuse it; the final set goes to I2 like every strategy.
-	picked := core.SelectTopNScratch(req.Scratch, len(short), n, func(a, b int) bool {
-		if loads[a] != loads[b] {
-			return loads[a] < loads[b]
+	// RankTop is done with I1 by the time it returns, so the load round
+	// may reuse it; the final set goes to I2 like every strategy.
+	picked := core.SelectTopN(req.Scratch, len(short), n, func(a, b int) bool {
+		if light[a] != light[b] {
+			return light[a] > light[b]
 		}
 		return short[a].Index < short[b].Index
 	})
@@ -92,9 +93,9 @@ func (*SQLBEconomic) Allocate(req *Request) []int {
 		if i < len(req.CI) {
 			ci = req.CI[i]
 		}
-		values[i] = omega*pi + (1-omega)*ci
+		values[i] = core.SortKey(omega*pi + (1-omega)*ci)
 	}
-	return core.SelectTopNScratch(req.Scratch, len(req.Pq), req.N(), func(a, b int) bool {
+	return core.SelectTopN(req.Scratch, len(req.Pq), req.N(), func(a, b int) bool {
 		if values[a] != values[b] {
 			return values[a] > values[b]
 		}

@@ -51,6 +51,6 @@ func (s *SQLB) Allocate(req *Request) []int {
 			omegas[i] = core.Omega(req.ConsumerSat, sat)
 		}
 	}
-	ranking := core.RankTopScratch(req.Scratch, req.N(), req.PI, req.CI, omegas, s.Epsilon)
-	return core.SelectScratch(req.Scratch, req.N(), ranking)
+	ranking := core.RankTop(req.Scratch, req.N(), req.PI, req.CI, omegas, s.Epsilon)
+	return core.Select(req.Scratch, req.N(), ranking)
 }

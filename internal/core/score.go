@@ -63,7 +63,7 @@ type Ranked struct {
 // index so rankings are deterministic. pi, ci and omegas must have equal
 // length; entries beyond the shortest are ignored defensively.
 func Rank(pi, ci, omegas []float64, epsilon float64) []Ranked {
-	return RankTop(len(pi), pi, ci, omegas, epsilon)
+	return RankTop(nil, len(pi), pi, ci, omegas, epsilon)
 }
 
 // RankTop returns only the n best entries of R⃗_q, best first, without
@@ -71,18 +71,15 @@ func Rank(pi, ci, omegas []float64, epsilon float64) []Ranked {
 // the ordering work is delegated to SelectTopN's bounded heap, the win on
 // the mediation hot path where q.n ≪ |Pq|. n ≥ |Pq| degrades to the full
 // ranking (identical to Rank). Ties break on the lower index exactly as in
-// Rank, so RankTop(n, …) is always a prefix of Rank(…).
-func RankTop(n int, pi, ci, omegas []float64, epsilon float64) []Ranked {
-	return RankTopScratch(nil, n, pi, ci, omegas, epsilon)
-}
-
-// RankTopScratch is RankTop with every intermediate — the score vector
-// (Scratch.F2), the top-n heap (Scratch.I1), and the returned ranking
-// (Scratch.R1) — carved from the scratch, making the whole
-// score/rank/select pipeline allocation-free once the buffers are warm.
-// The result is valid until the next call that uses R1; a nil scratch
-// restores the allocating behaviour of RankTop exactly.
-func RankTopScratch(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64) []Ranked {
+// Rank, so RankTop(n, …) is always a prefix of Rank(…). A non-finite score
+// (NaN or ±Inf intentions) is ranked and reported as −Inf (see SortKey).
+//
+// Every intermediate — the score vector (Scratch.F2), the top-n heap
+// (Scratch.I1), and the returned ranking (Scratch.R1) — is carved from s,
+// making the whole score/rank/select pipeline allocation-free once the
+// buffers are warm. The result is valid until the next call that uses R1;
+// a nil s allocates fresh buffers instead.
+func RankTop(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64) []Ranked {
 	total := len(pi)
 	if len(ci) < total {
 		total = len(ci)
@@ -92,9 +89,9 @@ func RankTopScratch(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64
 	}
 	scores := s.F2(total)
 	for i := 0; i < total; i++ {
-		scores[i] = Score(pi[i], ci[i], omegas[i], epsilon)
+		scores[i] = SortKey(Score(pi[i], ci[i], omegas[i], epsilon))
 	}
-	idx := SelectTopNScratch(s, total, n, func(a, b int) bool {
+	idx := SelectTopN(s, total, n, func(a, b int) bool {
 		if scores[a] != scores[b] {
 			return scores[a] > scores[b]
 		}
@@ -107,17 +104,25 @@ func RankTopScratch(s *Scratch, n int, pi, ci, omegas []float64, epsilon float64
 	return ranking
 }
 
-// Select implements the allocation step of Algorithm 1 (lines 9-10): the
-// min(n, N) best-ranked providers get the query (All⃗oc[R⃗_q[i]] ← 1), the
-// rest do not. It returns the selected Pq indexes in rank order.
-func Select(n int, ranking []Ranked) []int {
-	return SelectScratch(nil, n, ranking)
+// SortKey returns v as a higher-is-better sort key. A non-finite v (NaN,
+// +Inf or −Inf) maps to −Inf, so the entry ranks after every finite one
+// and ties on the index with the other non-finite entries; without it, a
+// NaN makes "a > b" fail both ways and the comparison stops being a strict
+// total order. Finite values pass through unchanged. Lower-is-better keys
+// (loads, bids) are negated into this form.
+func SortKey(v float64) float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return math.Inf(-1)
+	}
+	return v
 }
 
-// SelectScratch is Select with the selected set carved from the scratch's
-// second index buffer (Scratch.I2); valid until the next call that uses
-// I2. A nil scratch restores the allocating behaviour of Select exactly.
-func SelectScratch(s *Scratch, n int, ranking []Ranked) []int {
+// Select implements the allocation step of Algorithm 1 (lines 9-10): the
+// min(n, N) best-ranked providers get the query (All⃗oc[R⃗_q[i]] ← 1), the
+// rest do not. It returns the selected Pq indexes in rank order, carved
+// from s's second index buffer (Scratch.I2) and valid until the next call
+// that uses I2; a nil s allocates a fresh slice.
+func Select(s *Scratch, n int, ranking []Ranked) []int {
 	if n < 1 {
 		n = 1
 	}

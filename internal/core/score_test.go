@@ -118,19 +118,19 @@ func TestRankMismatchedLengths(t *testing.T) {
 func TestSelectAlgorithm1(t *testing.T) {
 	ranking := []Ranked{{Index: 2, Score: 0.9}, {Index: 0, Score: 0.5}, {Index: 1, Score: -1}}
 	// q.n = 2 of N = 3.
-	if got := Select(2, ranking); len(got) != 2 || got[0] != 2 || got[1] != 0 {
+	if got := Select(nil, 2, ranking); len(got) != 2 || got[0] != 2 || got[1] != 0 {
 		t.Errorf("Select(2) = %v, want [2 0]", got)
 	}
 	// q.n > N: all providers selected (Algorithm 1's min(q.n, N)).
-	if got := Select(5, ranking); len(got) != 3 {
+	if got := Select(nil, 5, ranking); len(got) != 3 {
 		t.Errorf("Select(5) over 3 providers = %v, want all 3", got)
 	}
 	// q.n < 1 treated as 1.
-	if got := Select(0, ranking); len(got) != 1 || got[0] != 2 {
+	if got := Select(nil, 0, ranking); len(got) != 1 || got[0] != 2 {
 		t.Errorf("Select(0) = %v, want [2]", got)
 	}
 	// Empty ranking selects nothing.
-	if got := Select(1, nil); len(got) != 0 {
+	if got := Select(nil, 1, nil); len(got) != 0 {
 		t.Errorf("Select over empty ranking = %v, want empty", got)
 	}
 }

@@ -11,15 +11,15 @@ package core
 // A Scratch is NOT safe for concurrent use: it belongs to exactly one
 // mediation turn at a time (the mediator owns one; the server's mediation
 // lock serializes turns). Slices handed out by the accessors — and the
-// results of the *Scratch ranking helpers below — are valid until the next
-// call that uses the same buffer. All accessors tolerate a nil receiver by
-// falling back to plain make, so every helper degrades to its historical
-// allocating behaviour when no scratch is wired.
+// results of the ranking helpers that take a Scratch — are valid until the
+// next call that uses the same buffer. All accessors tolerate a nil
+// receiver by falling back to plain make, so every helper allocates fresh
+// buffers when passed a nil Scratch.
 //
 // Buffer assignments within one allocation turn (so callers and helpers do
-// not trample each other): RankTopScratch consumes F2, I1, and R1;
-// SelectTopNScratch consumes I1; SelectScratch consumes I2. Strategy code
-// uses F1/F3 for its own vectors (omegas, utilizations, bids, loads).
+// not trample each other): RankTop consumes F2, I1, and R1; SelectTopN
+// consumes I1; Select consumes I2. Strategy code uses F1/F3 for its own
+// vectors (omegas, utilizations, bids, loads).
 type Scratch struct {
 	f1, f2, f3 []float64
 	i1, i2     []int
@@ -36,7 +36,7 @@ func (s *Scratch) F1(n int) []float64 {
 	return s.f1
 }
 
-// F2 returns the second float buffer resized to n. RankTopScratch uses it
+// F2 returns the second float buffer resized to n. RankTop uses it
 // for the score vector.
 func (s *Scratch) F2(n int) []float64 {
 	if s == nil {
@@ -55,7 +55,7 @@ func (s *Scratch) F3(n int) []float64 {
 	return s.f3
 }
 
-// I1 returns the first index buffer resized to n. SelectTopNScratch builds
+// I1 returns the first index buffer resized to n. SelectTopN builds
 // its heap — and therefore its result — in it.
 func (s *Scratch) I1(n int) []int {
 	if s == nil {
@@ -65,7 +65,7 @@ func (s *Scratch) I1(n int) []int {
 	return s.i1
 }
 
-// I2 returns the second index buffer resized to n. SelectScratch carves the
+// I2 returns the second index buffer resized to n. Select carves the
 // selected set from it.
 func (s *Scratch) I2(n int) []int {
 	if s == nil {

@@ -3,8 +3,9 @@ package core
 // SelectTopN returns the indexes of the n best elements out of [0, total),
 // best first, where less reports whether element a ranks strictly better
 // than element b. less must be a strict total order — callers embed an
-// index tiebreak (lower index wins) so that the result is deterministic
-// and unique regardless of evaluation order.
+// index tiebreak (lower index wins) and compare keys passed through
+// SortKey — so that the result is deterministic and unique regardless of
+// evaluation order.
 //
 // The allocation hot path calls this once per mediation with n = q.n ≪
 // |Pq|, so instead of sorting all total elements it keeps a bounded
@@ -12,15 +13,11 @@ package core
 // than O(total·log total). When n ≥ total it degrades to a plain full
 // sort, which is also the reference behaviour the property tests compare
 // against.
-func SelectTopN(total, n int, less func(a, b int) bool) []int {
-	return SelectTopNScratch(nil, total, n, less)
-}
-
-// SelectTopNScratch is SelectTopN with the heap — and therefore the result
-// slice — carved from the scratch's first index buffer (Scratch.I1). The
-// result is valid until the next call that uses I1; a nil scratch restores
-// the allocating behaviour of SelectTopN exactly.
-func SelectTopNScratch(s *Scratch, total, n int, less func(a, b int) bool) []int {
+//
+// The heap — and therefore the result slice — is carved from s's first
+// index buffer (Scratch.I1) and is valid until the next call that uses
+// I1; a nil s allocates a fresh slice.
+func SelectTopN(s *Scratch, total, n int, less func(a, b int) bool) []int {
 	if n < 0 {
 		n = 0
 	}

@@ -64,7 +64,7 @@ func TestSelectTopNAgainstOracle(t *testing.T) {
 		}
 		ns := []int{0, 1, total / 2, total - 1, total, total + 5}
 		for _, n := range ns {
-			got := SelectTopN(total, n, valueLess(vals))
+			got := SelectTopN(nil, total, n, valueLess(vals))
 			want := oracleTopN(total, n, valueLess(vals))
 			if !equalInts(got, want) {
 				t.Fatalf("trial %d: SelectTopN(%d, %d) = %v, oracle %v (vals %v)",
@@ -92,8 +92,8 @@ func TestSelectTopNPermutationInvariance(t *testing.T) {
 		for i, p := range perm {
 			pvals[i] = vals[p] // position i now holds original element perm[i]
 		}
-		base := SelectTopN(total, n, valueLess(vals))
-		permuted := SelectTopN(total, n, valueLess(pvals))
+		base := SelectTopN(nil, total, n, valueLess(vals))
+		permuted := SelectTopN(nil, total, n, valueLess(pvals))
 		// Map the permuted selection back to original identities.
 		back := make([]int, len(permuted))
 		for i, idx := range permuted {
@@ -112,16 +112,20 @@ func TestSelectTopNPermutationInvariance(t *testing.T) {
 // the selection must be exactly the n lowest indexes, in order.
 func TestSelectTopNTiesPickLowestIndexes(t *testing.T) {
 	vals := make([]float64, 20)
-	got := SelectTopN(20, 5, valueLess(vals))
+	got := SelectTopN(nil, 20, 5, valueLess(vals))
 	if !equalInts(got, []int{0, 1, 2, 3, 4}) {
 		t.Errorf("all-ties selection = %v, want [0 1 2 3 4]", got)
 	}
 }
 
 // TestRankTopIsPrefixOfRank: RankTop(n, …) must equal the first n entries
-// of the full ranking for every n, including the degenerate ones.
+// of the full ranking for every n, including the degenerate ones, both
+// allocating (nil scratch) and through one scratch reused across trials
+// of varying |Pq| (so its buffers both grow and shrink); Select must pick
+// the same prefix either way.
 func TestRankTopIsPrefixOfRank(t *testing.T) {
 	rng := randx.New(9)
+	var s Scratch
 	for trial := 0; trial < 50; trial++ {
 		total := 1 + rng.Pick(40)
 		pi := make([]float64, total)
@@ -135,17 +139,23 @@ func TestRankTopIsPrefixOfRank(t *testing.T) {
 		}
 		full := Rank(pi, ci, om, 1)
 		for _, n := range []int{0, 1, total / 2, total, total + 5} {
-			got := RankTop(n, pi, ci, om, 1)
-			want := n
-			if want > total {
-				want = total
-			}
-			if len(got) != want {
-				t.Fatalf("RankTop(%d) returned %d entries, want %d", n, len(got), want)
-			}
-			for i := range got {
-				if got[i] != full[i] {
-					t.Fatalf("RankTop(%d)[%d] = %+v, full ranking has %+v", n, i, got[i], full[i])
+			for _, sc := range []*Scratch{nil, &s} {
+				got := RankTop(sc, n, pi, ci, om, 1)
+				want := n
+				if want > total {
+					want = total
+				}
+				if len(got) != want {
+					t.Fatalf("RankTop(%d) returned %d entries, want %d", n, len(got), want)
+				}
+				for i := range got {
+					if got[i] != full[i] {
+						t.Fatalf("RankTop(%d)[%d] = %+v, full ranking has %+v", n, i, got[i], full[i])
+					}
+				}
+				sel := Select(sc, n, got)
+				if wantSel := Select(nil, n, full[:want]); !equalInts(sel, wantSel) {
+					t.Fatalf("Select(%d) = %v, want %v", n, sel, wantSel)
 				}
 			}
 		}
@@ -154,13 +164,13 @@ func TestRankTopIsPrefixOfRank(t *testing.T) {
 
 // TestSelectTopNEmpty covers the zero-provider and zero-n edges.
 func TestSelectTopNEmpty(t *testing.T) {
-	if got := SelectTopN(0, 3, func(a, b int) bool { return a < b }); len(got) != 0 {
+	if got := SelectTopN(nil, 0, 3, func(a, b int) bool { return a < b }); len(got) != 0 {
 		t.Errorf("empty input selected %v", got)
 	}
-	if got := SelectTopN(5, 0, func(a, b int) bool { return a < b }); len(got) != 0 {
+	if got := SelectTopN(nil, 5, 0, func(a, b int) bool { return a < b }); len(got) != 0 {
 		t.Errorf("n=0 selected %v", got)
 	}
-	if got := SelectTopN(5, -2, func(a, b int) bool { return a < b }); len(got) != 0 {
+	if got := SelectTopN(nil, 5, -2, func(a, b int) bool { return a < b }); len(got) != 0 {
 		t.Errorf("negative n selected %v", got)
 	}
 }

@@ -197,12 +197,11 @@ func TestParallelLabSharesBundles(t *testing.T) {
 	}
 }
 
-// TestShardedLabDeterminism closes the loop on the two parallelism axes:
-// a Lab running serially must emit the same bytes as one fanning runs out
-// over 8 workers with each simulation itself sharded 4 ways. Composes the
-// Workers contract above with sim's TestShardedDeterminism.
-func TestShardedLabDeterminism(t *testing.T) {
-	snapshot := func(workers, shards int) map[string]string {
+// TestParallelLabDeterminismScenarios extends the Workers contract to the
+// churn scenarios (ext-scenarios) next to a ramp, a sweep and the autonomy
+// departures: Workers=1 and Workers=8 must emit byte-identical artifacts.
+func TestParallelLabDeterminismScenarios(t *testing.T) {
+	snapshot := func(workers int) map[string]string {
 		lab := NewLab(Config{
 			Scale:          0.05,
 			Duration:       300,
@@ -212,7 +211,6 @@ func TestShardedLabDeterminism(t *testing.T) {
 			SampleInterval: 50,
 			Workloads:      []float64{0.4, 0.8},
 			Workers:        workers,
-			Shards:         shards,
 		})
 		out := map[string]string{}
 		for _, id := range []string{"fig4a", "fig4i", "fig5c", "ext-scenarios"} {
@@ -229,14 +227,14 @@ func TestShardedLabDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	serial := snapshot(1, 1)
-	sharded := snapshot(8, 4)
-	if len(serial) != len(sharded) {
-		t.Fatalf("artifact counts differ: %d serial vs %d sharded", len(serial), len(sharded))
+	serial := snapshot(1)
+	parallel := snapshot(8)
+	if len(serial) != len(parallel) {
+		t.Fatalf("artifact counts differ: %d serial vs %d parallel", len(serial), len(parallel))
 	}
 	for id, csv := range serial {
-		if sharded[id] != csv {
-			t.Errorf("%s: Workers=8/Shards=4 CSV differs from the serial lab", id)
+		if parallel[id] != csv {
+			t.Errorf("%s: Workers=8 CSV differs from Workers=1", id)
 		}
 	}
 }

@@ -60,8 +60,7 @@ func runExtSelectivity(l *Lab) (*Result, error) {
 			Duration: l.cfg.SweepDuration,
 			// Quantize at 1e-6 so custom -selectivities closer than a
 			// percent still get distinct RNG streams.
-			Seed:   l.seedFor("selectivity", m.Name(), int(sel*1e6+0.5), rep),
-			Shards: l.cfg.Shards,
+			Seed: l.seedFor("selectivity", m.Name(), int(sel*1e6+0.5), rep),
 		}
 		eng, err := sim.New(opts)
 		if err != nil {

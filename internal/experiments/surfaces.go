@@ -71,7 +71,7 @@ func runTable1(l *Lab) (*Result, error) {
 
 	omegas := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
 	ranking := core.Rank(pi, ci, omegas, 1)
-	selected := core.Select(2, ranking)
+	selected := core.Select(nil, 2, ranking)
 	isSel := map[int]bool{}
 	for _, idx := range selected {
 		isSel[idx] = true

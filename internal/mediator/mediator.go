@@ -148,21 +148,10 @@ type Mediator struct {
 	Strategy allocator.Allocator
 	// Match is the matchmaking procedure; nil means AllProviders.
 	Match Matchmaker
-	// Exec, when non-nil, runs the mediator's O(|Pq|) index-range loops —
-	// intention gathering, satisfaction extraction, and the result
-	// notification — through an external executor (the sharded engine's
-	// worker pool). The contract mirrors the engine's phase barrier: Exec
-	// must cover [0, n) with disjoint [lo, hi) calls and return only after
-	// all of them completed; the loop bodies are pure per-index maps (slot
-	// writes into vectors indexed like Pq, or writes to provider i alone),
-	// so any partition — including the nil serial one — produces identical
-	// bytes. Nil keeps the historical single-threaded loops.
-	Exec func(n int, fn func(lo, hi int))
 
 	// scratch holds the mediator's reusable per-mediation buffers. A
 	// mediator serializes its mediations (the engine's event loop, the
-	// server's mu), so one set suffices; the sharded executor only ever
-	// writes disjoint index ranges of these vectors.
+	// server's mu), so one set suffices.
 	scratch medScratch
 }
 
@@ -190,21 +179,6 @@ func growFloats(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// forRange runs fn over [0, n): through Exec when configured, serially
-// otherwise. Hot-path callers branch on Exec themselves before building a
-// closure — a func literal passed to the Exec field escapes to the heap, so
-// the serial (Exec == nil) path must run its loop inline to stay
-// allocation-free.
-func (m *Mediator) forRange(n int, fn func(lo, hi int)) {
-	if m.Exec != nil {
-		m.Exec(n, fn)
-		return
-	}
-	if n > 0 {
-		fn(0, n)
-	}
 }
 
 // New returns a mediator using the given strategy and the all-providers
@@ -244,13 +218,8 @@ func (m *Mediator) Allocate(now float64, q *model.Query, pop *model.Population) 
 	sc := &m.scratch
 	sc.ci = growFloats(sc.ci, len(pq))
 	sc.pi = growFloats(sc.pi, len(pq))
-	ci, pi := sc.ci, sc.pi
-	if m.Exec != nil {
-		m.Exec(len(pq), func(lo, hi int) { intentionsRange(now, q, pq, ci, pi, lo, hi) })
-	} else {
-		intentionsRange(now, q, pq, ci, pi, 0, len(pq))
-	}
-	if err := m.allocateInto(&sc.alloc, now, q, pq, ci, pi); err != nil {
+	intentionsInto(now, q, pq, sc.ci, sc.pi)
+	if err := m.allocateInto(&sc.alloc, now, q, pq, sc.ci, sc.pi); err != nil {
 		return nil, err
 	}
 	return &sc.alloc, nil
@@ -289,16 +258,8 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 	sc := &m.scratch
 	sc.provSat = growFloats(sc.provSat, len(pq))
 	provSat := sc.provSat
-	if m.Exec != nil {
-		m.Exec(len(pq), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				provSat[i] = pq[i].Public.Satisfaction()
-			}
-		})
-	} else {
-		for i := range pq {
-			provSat[i] = pq[i].Public.Satisfaction()
-		}
+	for i, p := range pq {
+		provSat[i] = p.Public.Satisfaction()
 	}
 	sc.req = allocator.Request{
 		Query:       q,
@@ -332,18 +293,14 @@ func (m *Mediator) allocateInto(out *Allocation, now float64, q *model.Query, pq
 func Intentions(now float64, q *model.Query, pq []*model.Provider) (ci, pi []float64) {
 	ci = make([]float64, len(pq))
 	pi = make([]float64, len(pq))
-	intentionsRange(now, q, pq, ci, pi, 0, len(pq))
+	intentionsInto(now, q, pq, ci, pi)
 	return ci, pi
 }
 
-// intentionsRange fills the [lo, hi) slots of the intention vectors — the
-// per-index map the sharded engine's phase executor partitions. Slot i is
-// a pure function of (q, pq[i], now): no accumulator crosses indexes, so
-// any partition of [0, len(pq)) produces identical vectors.
-func intentionsRange(now float64, q *model.Query, pq []*model.Provider, ci, pi []float64, lo, hi int) {
+// intentionsInto fills the intention vectors ci and pi, indexed like pq.
+func intentionsInto(now float64, q *model.Query, pq []*model.Provider, ci, pi []float64) {
 	c := q.Consumer
-	for i := lo; i < hi; i++ {
-		p := pq[i]
+	for i, p := range pq {
 		ci[i] = intention.Consumer(c.Preference(p, q.Class), p.Reputation, c.Upsilon, c.Epsilon)
 		pi[i] = intention.Provider(p.Preference(q.Class), p.OperationalLoad(now), p.SmoothSat, p.Epsilon)
 	}
@@ -352,10 +309,7 @@ func intentionsRange(now float64, q *model.Query, pq []*model.Provider, ci, pi [
 // record performs the mediation-result notification: the consumer logs the
 // allocation against its shown intentions (Equations 1-2) and every
 // provider in Pq — selected or not — logs the proposal in both its public
-// (intention-fed) and private (preference-fed) windows. The consumer write
-// stays on the caller; the provider loop shards cleanly (provider i's
-// windows are touched by iteration i alone, and the selected-set stamps are
-// read-only once written), so it runs through Exec when configured.
+// (intention-fed) and private (preference-fed) windows.
 //
 // The selected set is marked with an epoch stamp instead of a per-call map:
 // selStamp[i] == epoch means Pq[i] was selected this mediation, and bumping
@@ -376,20 +330,9 @@ func (m *Mediator) record(q *model.Query, pq []*model.Provider, ci, pi []float64
 		}
 	}
 	stamp, epoch := sc.selStamp, sc.epoch
-	if m.Exec != nil {
-		m.Exec(len(pq), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				p := pq[i]
-				performed := stamp[i] == epoch
-				p.Public.Record(pi[i], performed)
-				p.Private.Record(p.Preference(q.Class), performed)
-			}
-		})
-	} else {
-		for i, p := range pq {
-			performed := stamp[i] == epoch
-			p.Public.Record(pi[i], performed)
-			p.Private.Record(p.Preference(q.Class), performed)
-		}
+	for i, p := range pq {
+		performed := stamp[i] == epoch
+		p.Public.Record(pi[i], performed)
+		p.Private.Record(p.Preference(q.Class), performed)
 	}
 }

@@ -2,8 +2,6 @@ package mediator
 
 import (
 	"errors"
-	"slices"
-	"sync"
 	"testing"
 
 	"sqlb/internal/allocator"
@@ -243,69 +241,5 @@ func TestMediatorDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("allocation diverged at query %d: %d vs %d", i, a[i], b[i])
 		}
-	}
-}
-
-// TestMediatorExecEquivalence pins the Exec contract: any executor that
-// covers [0, n) with disjoint ranges — here a deliberately adversarial one
-// that splits into many tiny reversed chunks run on separate goroutines —
-// produces exactly the allocation and window state of the serial mediator.
-// This is the package-level half of the sharded engine's byte-identity
-// guarantee (internal/sim TestShardedDeterminism is the whole-run half).
-func TestMediatorExecEquivalence(t *testing.T) {
-	run := func(exec func(n int, fn func(lo, hi int))) (*Allocation, *model.Population) {
-		pop := newPop(t, 2, 17)
-		med := New(allocator.NewSQLB())
-		med.Exec = exec
-		var alloc *Allocation
-		for id := uint64(1); id <= 40; id++ {
-			q := newQuery(pop, id, 2)
-			var err error
-			alloc, err = med.Allocate(float64(id), q, pop)
-			if err != nil {
-				t.Fatalf("Allocate: %v", err)
-			}
-		}
-		return alloc, pop
-	}
-
-	serial, serialPop := run(nil)
-	chunked, chunkedPop := run(func(n int, fn func(lo, hi int)) {
-		var wg sync.WaitGroup
-		for hi := n; hi > 0; hi -= 3 {
-			lo := hi - 3
-			if lo < 0 {
-				lo = 0
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				fn(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	})
-
-	if len(serial.CI) != len(chunked.CI) {
-		t.Fatalf("vector sizes differ: %d vs %d", len(serial.CI), len(chunked.CI))
-	}
-	for i := range serial.CI {
-		if serial.CI[i] != chunked.CI[i] || serial.PI[i] != chunked.PI[i] {
-			t.Fatalf("intention %d differs: CI %v vs %v, PI %v vs %v",
-				i, serial.CI[i], chunked.CI[i], serial.PI[i], chunked.PI[i])
-		}
-	}
-	if !slices.Equal(serial.Selected, chunked.Selected) {
-		t.Fatalf("selections differ: %v vs %v", serial.Selected, chunked.Selected)
-	}
-	for i := range serialPop.Providers {
-		s, c := serialPop.Providers[i], chunkedPop.Providers[i]
-		if s.Public.Satisfaction() != c.Public.Satisfaction() ||
-			s.Private.Satisfaction() != c.Private.Satisfaction() {
-			t.Fatalf("provider %d window state differs after 40 mediations", i)
-		}
-	}
-	if s, c := serialPop.Consumers[0].Tracker.Satisfaction(), chunkedPop.Consumers[0].Tracker.Satisfaction(); s != c {
-		t.Fatalf("consumer satisfaction differs: %v vs %v", s, c)
 	}
 }

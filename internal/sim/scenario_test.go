@@ -33,20 +33,16 @@ func scenarioOptions(name string, strategy allocator.Allocator, dur float64) Opt
 // and for consumers (who never rejoin) alive == initial − departures.
 // Cumulative counters on the samples make this exact even when a wave and
 // a sample share a timestamp. Checked across every churn preset, with and
-// without autonomy departures mixed in, on the serial and a sharded
-// engine (the remaining shard counts are swept by
-// TestShardedConservationInvariant).
+// without autonomy departures mixed in.
 func TestScenarioPopulationConservation(t *testing.T) {
 	for _, name := range scenario.Names() {
 		for _, auto := range []struct {
-			label  string
-			a      Autonomy
-			shards int
-		}{{"captive", Autonomy{}, 1}, {"full-autonomy", FullAutonomy(), 4}} {
+			label string
+			a     Autonomy
+		}{{"captive", Autonomy{}}, {"full-autonomy", FullAutonomy()}} {
 			t.Run(name+"/"+auto.label, func(t *testing.T) {
 				opts := scenarioOptions(name, allocator.NewSQLB(), 1000)
 				opts.Autonomy = auto.a
-				opts.Shards = auto.shards
 				eng, err := New(opts)
 				if err != nil {
 					t.Fatalf("New: %v", err)
@@ -55,17 +51,7 @@ func TestScenarioPopulationConservation(t *testing.T) {
 				if res.Err != nil {
 					t.Fatalf("Result.Err = %v", res.Err)
 				}
-				samples := append(append([]Sample{}, res.Samples...), res.Final)
-				for i, s := range samples {
-					if got, want := s.AliveProviders, res.Providers-s.ProviderDepartureCount+s.ProviderJoinCount; got != want {
-						t.Fatalf("sample %d (t=%v): alive providers %d != %d − %d + %d",
-							i, s.Time, got, res.Providers, s.ProviderDepartureCount, s.ProviderJoinCount)
-					}
-					if got, want := s.AliveConsumers, res.Consumers-s.ConsumerDepartureCount; got != want {
-						t.Fatalf("sample %d (t=%v): alive consumers %d != %d − %d",
-							i, s.Time, got, res.Consumers, s.ConsumerDepartureCount)
-					}
-				}
+				checkConservation(t, res)
 				// The final ledgers agree with the recorded event lists.
 				if res.Final.ProviderDepartureCount != len(res.ProviderDepartures) {
 					t.Errorf("final departure counter %d != %d recorded departures",
@@ -76,6 +62,49 @@ func TestScenarioPopulationConservation(t *testing.T) {
 						res.Final.ProviderJoinCount, len(res.ProviderJoins))
 				}
 			})
+		}
+	}
+}
+
+// checkConservation asserts the population ledger at every sample and at
+// the final snapshot: alive providers = initial − departures + joins, and
+// alive consumers = initial − departures.
+func checkConservation(t *testing.T, res *Result) {
+	t.Helper()
+	for i, s := range append(append([]Sample{}, res.Samples...), res.Final) {
+		if got, want := s.AliveProviders, res.Providers-s.ProviderDepartureCount+s.ProviderJoinCount; got != want {
+			t.Fatalf("sample %d (t=%v): alive providers %d != %d − %d + %d",
+				i, s.Time, got, res.Providers, s.ProviderDepartureCount, s.ProviderJoinCount)
+		}
+		if got, want := s.AliveConsumers, res.Consumers-s.ConsumerDepartureCount; got != want {
+			t.Fatalf("sample %d (t=%v): alive consumers %d != %d − %d",
+				i, s.Time, got, res.Consumers, s.ConsumerDepartureCount)
+		}
+	}
+}
+
+// TestChurnConservationAcrossSeeds sweeps the seed over the two
+// churn-heaviest presets under full autonomy, so the conservation ledger is
+// checked against several different orders of wave, autonomy-departure and
+// sample events, not just the one seed the preset grid above uses.
+func TestChurnConservationAcrossSeeds(t *testing.T) {
+	for _, name := range []string{"outage-30pct", "staged-churn"} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			opts := scenarioOptions(name, allocator.NewSQLB(), 800)
+			opts.Seed = seed
+			opts.Autonomy = FullAutonomy()
+			eng, err := New(opts)
+			if err != nil {
+				t.Fatalf("%s seed=%d: New: %v", name, seed, err)
+			}
+			res := eng.Run()
+			if res.Err != nil {
+				t.Fatalf("%s seed=%d: Result.Err = %v", name, seed, res.Err)
+			}
+			if res.Final.ProviderDepartureCount == 0 {
+				t.Fatalf("%s seed=%d: no provider departed; the sweep needs churn", name, seed)
+			}
+			checkConservation(t, res)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -128,6 +129,7 @@ func (s *CSVSink) Close() error {
 type Decoder struct {
 	r       io.Reader
 	partial []byte
+	scanned int   // d.partial[:scanned] holds no newline
 	cols    []int // cols[i] = fields index of CSV column i+1 (-1 = skip)
 	header  bool
 	scratch [64]byte
@@ -162,14 +164,19 @@ func (d *Decoder) Next() (Snapshot, error) {
 }
 
 // readLine accumulates bytes until a newline, preserving any partial
-// tail across calls.
+// tail across calls. Only bytes not yet searched are scanned for the
+// newline, so a long line arriving a few bytes per call (a tailed file
+// mid-row) costs linear, not quadratic, time.
 func (d *Decoder) readLine() (string, error) {
 	for {
-		if i := indexByte(d.partial, '\n'); i >= 0 {
+		if i := bytes.IndexByte(d.partial[d.scanned:], '\n'); i >= 0 {
+			i += d.scanned
 			line := string(d.partial[:i])
 			d.partial = append(d.partial[:0], d.partial[i+1:]...)
+			d.scanned = 0
 			return line, nil
 		}
+		d.scanned = len(d.partial)
 		n, err := d.r.Read(d.scratch[:])
 		if n > 0 {
 			d.partial = append(d.partial, d.scratch[:n]...)
@@ -180,15 +187,6 @@ func (d *Decoder) readLine() (string, error) {
 		}
 		return "", err
 	}
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, v := range b {
-		if v == c {
-			return i
-		}
-	}
-	return -1
 }
 
 func (d *Decoder) parseHeader(line string) error {

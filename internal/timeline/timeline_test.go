@@ -1,6 +1,7 @@
 package timeline
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // snap builds a test snapshot whose fields are all distinguishable, so
@@ -136,6 +138,22 @@ func TestDecoderBuffersPartialLines(t *testing.T) {
 	}
 	if len(got) != 2 || got[0].Time != 1 || got[1].Time != 2 {
 		t.Fatalf("got %d rows %+v", len(got), got)
+	}
+}
+
+// TestDecoderLongLineLinear: a long line arriving one byte per Read (a
+// tailed file whose newline never comes) must cost linear time. The
+// decoder used to rescan the whole buffered tail after every Read, which
+// made this 256 KiB line take tens of seconds.
+func TestDecoderLongLineLinear(t *testing.T) {
+	data := append([]byte("source,time\nsim,"), bytes.Repeat([]byte("1"), 256<<10)...)
+	start := time.Now()
+	got, err := ReadCSV(&slowWriter{data: data})
+	if err != nil || len(got) != 0 {
+		t.Fatalf("unterminated line decoded rows=%v err=%v, want none", got, err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("decoding a 256 KiB unterminated line took %v", d)
 	}
 }
 
